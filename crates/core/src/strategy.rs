@@ -20,6 +20,7 @@ use psep_planar::cycle::{root_path_separator, CycleSearch};
 use psep_planar::sptree::SpTree;
 use psep_treedec::center::center_bag;
 use psep_treedec::elimination::min_degree_decomposition;
+use psep_treedec::TreeDecomposition;
 
 use crate::separator::{PathGroup, PathSeparator, SepPath};
 
@@ -127,21 +128,26 @@ impl SeparatorStrategy for TreewidthStrategy {
     fn separate(&self, g: &Graph, component: &[NodeId]) -> PathSeparator {
         let mask = NodeMask::from_nodes(g.num_nodes(), component.iter().copied());
         let view = SubgraphView::new(g, &mask);
-        let dec = min_degree_decomposition(&view);
-        let c = center_bag(&view, &dec);
-        let paths: Vec<SepPath> = dec
-            .bag(c)
-            .iter()
-            .copied()
-            .filter(|&v| mask.contains(v))
-            .map(SepPath::singleton)
-            .collect();
-        PathSeparator::strong(paths)
+        center_bag_separator(&view, &min_degree_decomposition(&view))
     }
 
     fn name(&self) -> &'static str {
         "treewidth-center-bag"
     }
+}
+
+/// Theorem 7's separator from a decomposition of `view`: the vertices of
+/// a center bag (Lemma 1) that are alive in `view`, each a trivial path.
+fn center_bag_separator(view: &SubgraphView<'_>, dec: &TreeDecomposition) -> PathSeparator {
+    let c = center_bag(view, dec);
+    let paths: Vec<SepPath> = dec
+        .bag(c)
+        .iter()
+        .copied()
+        .filter(|&v| view.contains_node(v))
+        .map(SepPath::singleton)
+        .collect();
+    PathSeparator::strong(paths)
 }
 
 /// Strong ≤3-root-path separator in the style of Thorup (guaranteed on
@@ -334,18 +340,19 @@ impl SeparatorStrategy for AutoStrategy {
             return TreeCenterStrategy.separate(g, component);
         }
         if n <= self.width_probe_limit {
+            let t0 = psep_obs::now_if_enabled();
             let dec = min_degree_decomposition(&view);
+            if let Some(t0) = t0 {
+                psep_obs::histogram!("core.strategy.auto.probe_ns").record_elapsed(t0);
+            }
             if dec.width() <= self.max_width {
                 psep_obs::counter!("core.strategy.auto.center_bag").incr();
-                let c = center_bag(&view, &dec);
-                let paths: Vec<SepPath> = dec
-                    .bag(c)
-                    .iter()
-                    .copied()
-                    .filter(|&v| mask.contains(v))
-                    .map(SepPath::singleton)
-                    .collect();
-                return PathSeparator::strong(paths);
+                let t0 = psep_obs::now_if_enabled();
+                let sep = center_bag_separator(&view, &dec);
+                if let Some(t0) = t0 {
+                    psep_obs::histogram!("core.strategy.auto.center_bag_ns").record_elapsed(t0);
+                }
+                return sep;
             }
         }
         psep_obs::counter!("core.strategy.auto.iterative").incr();

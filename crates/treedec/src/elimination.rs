@@ -6,29 +6,117 @@
 //! the partial-`k`-tree and planar families the experiments use. The
 //! measured widths are reported by experiment E9.
 
-use std::collections::HashSet;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashSet};
 
 use psep_graph::graph::NodeId;
 use psep_graph::view::GraphRef;
 
 use crate::decomposition::TreeDecomposition;
-
-/// Elimination heuristics.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Heuristic {
-    MinDegree,
-    MinFill,
-}
+use crate::local::LocalGraph;
 
 /// Tree decomposition via the **min-degree** elimination heuristic.
+///
+/// Repeatedly eliminates a vertex of minimum current degree, ties going
+/// to the smaller `NodeId`, and turns its neighbours into a clique. Bag
+/// `i` is the `i`-th eliminated vertex plus its neighbours at that
+/// moment; its tree edge goes to the bag of the earliest-eliminated of
+/// those neighbours, or to bag `i + 1` when it has none.
+///
+/// All work is local to the vertices of `g`, never sized by
+/// `g.universe()`: vertices get dense ids in ascending `NodeId` order,
+/// adjacency is kept in sorted vectors, and a lazy binary heap of
+/// `(degree, id)` yields the next vertex. Eliminating `v` merges `N(v)`
+/// into each neighbour's list, `O(Σ_{a ∈ N(v)} (deg a + |N(v)|))`, plus
+/// `O(|N(v)| log n)` heap work. Memory is the graph plus its fill edges,
+/// `O(n·w)` for a result of width `w` on `n` vertices.
+///
+/// The output is a pure function of `g`: because the renumbering keeps
+/// `NodeId` order, the heap's `(degree, id)` minimum is exactly the
+/// `(degree, NodeId)` minimum over the live vertices, so the elimination
+/// order, the bags and the tree edges are those of the textbook
+/// linear-scan elimination (the test suite checks this bag for bag).
 pub fn min_degree_decomposition<G: GraphRef>(g: &G) -> TreeDecomposition {
-    eliminate(g, Heuristic::MinDegree)
+    psep_obs::counter!("treedec.eliminations").incr();
+    let _span = psep_obs::span!("treedec_eliminate");
+    let LocalGraph { nodes, mut adj } = LocalGraph::new(g);
+    let n = nodes.len();
+    let mut heap: BinaryHeap<Reverse<(usize, u32)>> = adj
+        .iter()
+        .enumerate()
+        .map(|(v, nbrs)| Reverse((nbrs.len(), v as u32)))
+        .collect();
+    // Elimination position of each vertex; `usize::MAX` while alive.
+    let mut pos = vec![usize::MAX; n];
+    // Each eliminated vertex with its neighbours at elimination time.
+    let mut eliminated: Vec<(u32, Vec<u32>)> = Vec::with_capacity(n);
+    let mut scratch = Vec::new();
+    while let Some(Reverse((degree, v))) = heap.pop() {
+        if pos[v as usize] != usize::MAX || adj[v as usize].len() != degree {
+            continue; // stale: eliminated, or a newer entry has the degree
+        }
+        pos[v as usize] = eliminated.len();
+        let nbrs = std::mem::take(&mut adj[v as usize]);
+        for &a in &nbrs {
+            let list = &mut adj[a as usize];
+            let before = list.len();
+            union_without(list, &nbrs, [v, a], &mut scratch);
+            if list.len() != before {
+                heap.push(Reverse((list.len(), a)));
+            }
+        }
+        eliminated.push((v, nbrs));
+    }
+    let mut bags = Vec::with_capacity(n);
+    let mut edges = Vec::with_capacity(n.saturating_sub(1));
+    for (i, (v, nbrs)) in eliminated.iter().enumerate() {
+        match nbrs.iter().map(|&u| pos[u as usize]).min() {
+            Some(parent) => edges.push((i, parent)),
+            None if i + 1 < n => edges.push((i, i + 1)),
+            None => {}
+        }
+        bags.push(nbrs.iter().chain([v]).map(|&u| nodes[u as usize]).collect());
+    }
+    TreeDecomposition::new(bags, edges)
+}
+
+/// Replaces the sorted `list` by the sorted union of `list` and `add`
+/// without the two ids in `skip`; `scratch` is a reusable buffer.
+fn union_without(list: &mut Vec<u32>, add: &[u32], skip: [u32; 2], scratch: &mut Vec<u32>) {
+    scratch.clear();
+    let (mut i, mut j) = (0, 0);
+    loop {
+        let x = match (list.get(i), add.get(j)) {
+            (Some(&p), Some(&q)) if p == q => {
+                i += 1;
+                j += 1;
+                p
+            }
+            (Some(&p), Some(&q)) if p < q => {
+                i += 1;
+                p
+            }
+            (Some(&p), None) => {
+                i += 1;
+                p
+            }
+            (_, Some(&q)) => {
+                j += 1;
+                q
+            }
+            (None, None) => break,
+        };
+        if !skip.contains(&x) {
+            scratch.push(x);
+        }
+    }
+    std::mem::swap(list, scratch);
 }
 
 /// Tree decomposition via the **min-fill** elimination heuristic
 /// (slower, usually tighter width on non-chordal inputs).
 pub fn min_fill_decomposition<G: GraphRef>(g: &G) -> TreeDecomposition {
-    eliminate(g, Heuristic::MinFill)
+    eliminate(g, fill_count)
 }
 
 /// Builds a tree decomposition from an explicit elimination order.
@@ -49,7 +137,15 @@ pub fn decomposition_from_order<G: GraphRef>(g: &G, order: &[NodeId]) -> TreeDec
     build_bags(order, &pos, adj)
 }
 
-fn eliminate<G: GraphRef>(g: &G, h: Heuristic) -> TreeDecomposition {
+/// Greedy elimination over hash-set adjacency indexed by `NodeId`: each
+/// step scans every live vertex for the smallest `key`. Min-fill uses
+/// it (its key changes with every fill edge, so a heap buys little);
+/// the tests use it with the min-degree key as the reference for
+/// [`min_degree_decomposition`].
+fn eliminate<G: GraphRef>(
+    g: &G,
+    key: fn(&[HashSet<NodeId>], NodeId) -> (usize, usize),
+) -> TreeDecomposition {
     psep_obs::counter!("treedec.eliminations").incr();
     let _span = psep_obs::span!("treedec_eliminate");
     let n = g.universe();
@@ -71,10 +167,7 @@ fn eliminate<G: GraphRef>(g: &G, h: Heuristic) -> TreeDecomposition {
         let pick = g
             .node_iter()
             .filter(|v| alive[v.index()])
-            .min_by_key(|&v| match h {
-                Heuristic::MinDegree => (adj[v.index()].len(), v.index()),
-                Heuristic::MinFill => fill_count(&adj, v),
-            })
+            .min_by_key(|&v| key(&adj, v))
             .expect("alive vertex exists");
         order.push(pick);
         // connect neighbours (fill edges), remove pick
@@ -170,9 +263,101 @@ fn build_bags(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use proptest::prelude::*;
     use psep_graph::generators::{grids, ktree, planar_families, trees};
+    use psep_graph::view::{NodeMask, SubgraphView};
+    use psep_graph::Graph;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+
+    /// The linear-scan min-degree elimination over hash sets: the
+    /// reference [`min_degree_decomposition`] must match bag for bag.
+    fn min_degree_reference<G: GraphRef>(g: &G) -> TreeDecomposition {
+        eliminate(g, |adj, v| (adj[v.index()].len(), v.index()))
+    }
+
+    fn assert_same_decomposition(got: &TreeDecomposition, want: &TreeDecomposition, what: &str) {
+        assert_eq!(got.num_bags(), want.num_bags(), "{what}: bag count");
+        for i in 0..want.num_bags() {
+            assert_eq!(got.bag(i), want.bag(i), "{what}: bag {i}");
+        }
+        assert_eq!(got.tree_edges(), want.tree_edges(), "{what}: tree edges");
+    }
+
+    /// Deterministic instances for the reference-equivalence tests:
+    /// grids up to 64×64 (whose width exceeds any probe bound), k-trees,
+    /// partial 3-trees, outerplanar graphs and triangulated grids.
+    pub(crate) fn reference_cases() -> Vec<(String, Graph)> {
+        let mut cases = Vec::new();
+        for side in [2, 5, 8, 16, 32, 64] {
+            cases.push((format!("grid {side}x{side}"), grids::grid2d(side, side, 1)));
+        }
+        for k in 1..=4 {
+            cases.push((
+                format!("{k}-tree"),
+                ktree::random_k_tree(200, k, k as u64).graph,
+            ));
+        }
+        for seed in 0..3 {
+            cases.push((
+                format!("partial 3-tree #{seed}"),
+                ktree::partial_k_tree(150, 3, 0.6, seed),
+            ));
+            cases.push((
+                format!("outerplanar #{seed}"),
+                planar_families::random_outerplanar(150, seed),
+            ));
+            cases.push((
+                format!("triangulated grid #{seed}"),
+                planar_families::triangulated_grid(12, 12, seed),
+            ));
+        }
+        cases
+    }
+
+    /// A random induced subgraph of `g`: each vertex is kept with
+    /// probability 3/4, so the view is usually disconnected.
+    pub(crate) fn random_mask(g: &Graph, seed: u64) -> NodeMask {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        NodeMask::from_nodes(g.num_nodes(), g.nodes().filter(|_| rng.gen_bool(0.75)))
+    }
+
+    #[test]
+    fn min_degree_matches_reference_on_fixed_families() {
+        for (name, g) in reference_cases() {
+            let dec = min_degree_decomposition(&g);
+            assert_same_decomposition(&dec, &min_degree_reference(&g), &name);
+            dec.validate(&g).unwrap();
+            let mask = random_mask(&g, 7);
+            let view = SubgraphView::new(&g, &mask);
+            let what = format!("{name}, induced subgraph");
+            assert_same_decomposition(
+                &min_degree_decomposition(&view),
+                &min_degree_reference(&view),
+                &what,
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn min_degree_matches_reference_on_random_views(
+            g in psep_testkit::arb_graph(),
+            seed in any::<u64>(),
+        ) {
+            let dec = min_degree_decomposition(&g);
+            assert_same_decomposition(&dec, &min_degree_reference(&g), "whole graph");
+            let mask = random_mask(&g, seed);
+            let view = SubgraphView::new(&g, &mask);
+            let dec = min_degree_decomposition(&view);
+            assert_same_decomposition(&dec, &min_degree_reference(&view), "induced subgraph");
+            prop_assert!(dec.validate(&view).is_ok());
+        }
+    }
 
     #[test]
     fn tree_has_width_one() {

@@ -23,6 +23,7 @@ pub mod cliqueweight;
 pub mod decomposition;
 pub mod elimination;
 pub mod exact;
+mod local;
 pub mod pathdec;
 pub mod torso;
 pub mod vortexpath;
